@@ -113,6 +113,14 @@ def _fs(*names: str) -> frozenset:
 
 REGISTRY: tuple[GuardSpec, ...] = (
     GuardSpec(
+        path="core/optimizer.py",
+        cls="TahomaOptimizer",
+        lock="_frontier_lock",
+        guarded=_fs("_frontiers"),
+        mutable=_fs("_frontiers"),
+        runtime=_fs("_frontiers"),
+    ),
+    GuardSpec(
         path="db/executor.py",
         cls="QueryExecutor",
         guarded=_fs("_id_offset", "_epoch", "_wal", "_materialized",

@@ -325,6 +325,16 @@ SHAPES: tuple[ShapeSpec, ...] = (
               "(N, H, W, C) -> (N,)", dtype="int64"),
     ShapeSpec("core/cascade.py", "Cascade.classify_with_stats",
               "(N, H, W, C) -> (N,)", dtype="int64", tuple_index=0, hot=True),
+    # -- core/: the array cascade evaluator ----------------------------------
+    ShapeSpec("core/evaluator.py", "_stage_masks",
+              "(M, N), (S,), (S,), (S,) -> (S, N)", dtype="bool",
+              tuple_index=0),
+    ShapeSpec("core/evaluator.py", "_replay_levels",
+              "(C, L), (C, L), (C,), (S, N), (S, N), (M, N) -> (C, N)",
+              dtype="bool", tuple_index=0, hot=True),
+    ShapeSpec("core/evaluator.py", "_accumulate_costs",
+              "(C, L), (C, L), (C, L), (C,), (M,), (M,), (M,) -> (3, C)",
+              dtype="float64", hot=True),
     # -- db/: the mask algebra the executor runs per query -------------------
     ShapeSpec("db/executor.py", "QueryExecutor._metadata_mask",
               "-> (S,)", dtype="bool"),

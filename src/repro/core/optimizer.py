@@ -3,25 +3,31 @@
 This module ties the pieces of Figure 2 together.  *System initialization*
 (per binary predicate) trains the model set ``M`` over the ``A x F`` design
 space, calibrates per-model decision thresholds on the configuration set,
-caches per-model predictions on the evaluation set and enumerates the cascade
-set ``C``.  *Query time* evaluates ``C`` under the current deployment
-scenario's cost profile, computes the Pareto frontier and selects the cascade
-matching the user's constraints; the selected cascade is then executed over
-the corpus.
+caches per-model predictions on the evaluation set, enumerates the cascade
+set ``C`` and lays it out as a :class:`~repro.core.evaluator.CascadeTable`.
+
+Evaluation is split the way the paper splits it (Section V-D/E).  The first
+time a cost profile is seen, :meth:`TahomaOptimizer.evaluate` prices every
+cascade of ``C`` under it and the Pareto frontier is kept, keyed by the
+profile's :meth:`~repro.costs.profiler.CostProfiler.fingerprint`.  *Query
+time* is then a dictionary lookup plus a walk over that short frontier to
+select the cascade matching the user's constraints; the selected cascade is
+executed over the corpus.  Re-initialization drops every kept frontier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.cascade import Cascade, CascadeBuilder
 from repro.core.evaluator import (
     CascadeEvaluation,
+    CascadeTable,
     EvaluatedCascadeSet,
     ModelPredictionCache,
-    evaluate_cascades,
 )
 from repro.core.model import TrainedModel
 from repro.core.selector import UserConstraints, select_cascade
@@ -39,8 +45,12 @@ from repro.core.thresholds import (
 from repro.core.trainer import ModelTrainer, TrainingConfig
 from repro.costs.profiler import CostProfiler
 from repro.data.corpus import PredicateDataSplits
+from repro.locking import make_lock
 from repro.storage.store import RepresentationStore
 from repro.transforms.spec import TransformSpec, standard_transform_grid
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["TahomaConfig", "TahomaOptimizer"]
 
@@ -84,6 +94,12 @@ class TahomaOptimizer:
         self.thresholds: dict[str, list[DecisionThresholds]] = {}
         self.cache: ModelPredictionCache | None = None
         self.cascades: list[Cascade] = []
+        self._table: CascadeTable | None = None
+        # Pareto frontiers by cost-profile fingerprint; _build_cascades swaps
+        # in a fresh dict, so an evaluation racing a rebuild can only land in
+        # the discarded one.
+        self._frontiers: dict[tuple, tuple[CascadeEvaluation, ...]] = {}  # guarded by: self._frontier_lock
+        self._frontier_lock = make_lock("frontier")
         self._initialized = False
 
     # -- system initialization --------------------------------------------
@@ -174,6 +190,9 @@ class TahomaOptimizer:
             self.models,
             include_reference_tail=(self.config.include_reference_tail
                                     and self.reference_model is not None))
+        self._table = CascadeTable(self.cascades, self.cache)
+        with self._frontier_lock:
+            self._frontiers = {}
 
     # -- query time ---------------------------------------------------------
     def _require_initialized(self) -> None:
@@ -183,17 +202,38 @@ class TahomaOptimizer:
     def evaluate(self, profiler: CostProfiler) -> EvaluatedCascadeSet:
         """Evaluate every cascade under the given deployment cost profile."""
         self._require_initialized()
-        return evaluate_cascades(self.cascades, self.cache, profiler)
+        return self._table.evaluate(profiler)
 
-    def frontier(self, profiler: CostProfiler) -> list[CascadeEvaluation]:
-        """The Pareto-optimal cascades under the given cost profile."""
-        return self.evaluate(profiler).frontier()
+    def frontier(self, profiler: CostProfiler,
+                 metrics: MetricsRegistry | None = None
+                 ) -> list[CascadeEvaluation]:
+        """The Pareto-optimal cascades under the given cost profile.
+
+        Computed by :meth:`evaluate` the first time the profile's
+        fingerprint is seen and kept until the next (re-)initialization.
+        ``metrics`` counts the lookup as
+        ``repro_frontier_lookups_total{outcome=hit|miss}``.
+        """
+        self._require_initialized()
+        key = profiler.fingerprint()
+        with self._frontier_lock:
+            frontiers = self._frontiers
+            frontier = frontiers.get(key)
+        if metrics is not None:
+            metrics.counter("repro_frontier_lookups_total").inc(
+                outcome="miss" if frontier is None else "hit")
+        if frontier is None:
+            frontier = tuple(self.evaluate(profiler).frontier())
+            with self._frontier_lock:
+                frontier = frontiers.setdefault(key, frontier)
+        return list(frontier)
 
     def select(self, profiler: CostProfiler,
-               constraints: UserConstraints | None = None) -> CascadeEvaluation:
+               constraints: UserConstraints | None = None,
+               metrics: MetricsRegistry | None = None) -> CascadeEvaluation:
         """Pick the Pareto-optimal cascade matching the user's constraints."""
         constraints = constraints or UserConstraints()
-        return select_cascade(self.frontier(profiler), constraints)
+        return select_cascade(self.frontier(profiler, metrics), constraints)
 
     def query(self, images: np.ndarray, cascade: Cascade | CascadeEvaluation,
               store: RepresentationStore | None = None) -> np.ndarray:

@@ -102,6 +102,16 @@ class CostProfiler:
         self.cost_resolution = (cost_resolution if cost_resolution is not None
                                 else source_resolution)
 
+    def fingerprint(self) -> tuple:
+        """A hashable key equal for profilers that price every cost alike.
+
+        Device, scenario and storage tier are frozen dataclasses, so two
+        profilers built from equal parts share a fingerprint — shards
+        rendered at one resolution share one evaluated cascade frontier.
+        """
+        return (self.device, self.scenario, self.source_resolution,
+                self.source_channels, self.cost_resolution)
+
     # -- individual cost terms ------------------------------------------------
     @property
     def _area_scale(self) -> float:

@@ -341,10 +341,11 @@ class VisualDatabase:
     def enable_plan_cache(self, capacity: int = 128):
         """Turn on plan caching (idempotent); returns the cache.
 
-        Plans are keyed by normalized query shape — literals stripped — so a
-        dashboard query re-run with a fresh timestamp reuses its cascade
-        selections instead of repeating the Pareto analysis, and an exact
-        repeat skips parse + plan entirely.  The cache is invalidated on
+        Plans are keyed by normalized query shape — literals stripped — and
+        an exact repeat (same literals) skips parse + plan entirely; a shape
+        repeat with new literals is counted as a rebind and re-planned, which
+        costs a parse plus a walk over each predicate's kept cascade
+        frontier.  The cache is invalidated on
         scenario switches, attach/detach/replace and retention changes;
         cached selectivities otherwise go stale at the pace of ingest, which
         only affects predicate *ordering*, never correctness.
@@ -736,40 +737,20 @@ class VisualDatabase:
                            f"attached: {self.tables()}")
         return targets
 
-    def _plan_per_table(self, query: Query, targets: list[str],
-                        cached=None) -> dict[str, QueryPlan]:
+    def _plan_per_table(self, query: Query,
+                        targets: list[str]) -> dict[str, QueryPlan]:
         """Plan once per shard, with that shard's observed selectivity."""
-        return {table: self._planner_for(table).plan(
-                    query, table=table,
-                    selections=self._selections_from(cached, table))
+        return {table: self._planner_for(table).plan(query, table=table)
                 for table in targets}
 
-    @staticmethod
-    def _selections_from(cached, table: str | None):
-        """Per-category cascade choices of a cached plan, for rebinding.
-
-        ``cached`` is the previous plan built for the same query shape — a
-        single :class:`QueryPlan` or a fan-out ``{table: plan}`` mapping —
-        and supplies the already-selected :class:`ContentStep` per category
-        so re-planning with new literals skips cascade selection.
-        """
-        if cached is None:
-            return None
-        plan = cached.get(table) if isinstance(cached, dict) else cached
-        if plan is None:
-            return None
-        return {step.category: step for step in plan.content_steps}
-
-    def _plan_query(self, query: Query, tables: Iterable[str] | None,
-                    cached=None) -> QueryPlan | dict[str, QueryPlan]:
+    def _plan_query(self, query: Query, tables: Iterable[str] | None
+                    ) -> QueryPlan | dict[str, QueryPlan]:
         """Lower one parsed query to its plan(s); dict means fan-out."""
         if tables is not None or query.table == FANOUT_TABLE:
             targets = self._fanout_targets(query, tables)
-            return self._plan_per_table(query, targets, cached=cached)
+            return self._plan_per_table(query, targets)
         table = self._resolve_single_table(query)
-        return self._planner_for(table).plan(
-            query, table=table,
-            selections=self._selections_from(cached, table))
+        return self._planner_for(table).plan(query, table=table)
 
     def _plan_for(self, sql: str, constraints: UserConstraints | None,
                   tables: Iterable[str] | None
@@ -780,10 +761,9 @@ class VisualDatabase:
         bypass the cache (the list is not part of the SQL text); otherwise
         the key is the normalized query shape plus constraints and scenario.
         An exact repeat (same literals) returns the cached plan without
-        parsing; a shape hit with different literals re-parses (cheap) and
-        re-plans with the cached cascade selections seeded, skipping the
-        expensive Pareto analysis; a miss plans from scratch and populates
-        the cache.
+        parsing or planning; any other lookup — a shape repeat with new
+        literals or a new shape — parses and plans afresh (a walk over each
+        predicate's kept cascade frontier) and caches the result.
         """
         cache = self._plan_cache
         if cache is None or tables is not None:
@@ -793,9 +773,7 @@ class VisualDatabase:
         status, entry = cache.lookup(key, literals)
         if status == "hit":
             return entry.plans
-        cached = entry.plans if status == "rebind" else None
-        plans = self._plan_query(self._parse(sql, constraints), None,
-                                 cached=cached)
+        plans = self._plan_query(self._parse(sql, constraints), None)
         cache.store(key, literals, plans)
         return plans
 

@@ -1,14 +1,17 @@
 """Query planning: a logical query becomes a cost-ordered physical plan.
 
 The planner performs the query-time half of the paper's predicate
-optimization.  For each ``contains_object`` predicate it asks the predicate's
-:class:`~repro.core.optimizer.TahomaOptimizer` to select a cascade under the
-current deployment scenario and the user's constraints, estimates the
-predicate's selectivity from the optimizer's cached evaluation-set
-predictions, and orders the content predicates by estimated selectivity x
-selected-cascade cost so that cheap, selective predicates shrink the
-candidate set before expensive ones run.  Metadata predicates always run
-first — they cost microseconds and touch no pixels.
+optimization.  The offline half — evaluating every cascade of a predicate
+under a cost profile — runs once per (optimizer, profile fingerprint) inside
+:meth:`~repro.core.optimizer.TahomaOptimizer.frontier`; planning a
+``contains_object`` predicate is then a frontier lookup plus a walk over the
+short Pareto frontier to select the cascade honouring the user's
+constraints.  The planner estimates each predicate's selectivity from the
+optimizer's cached evaluation-set predictions (or from labels the shard has
+already materialized), and orders the content predicates by estimated
+selectivity x selected-cascade cost so that cheap, selective predicates
+shrink the candidate set before expensive ones run.  Metadata predicates
+always run first — they cost microseconds and touch no pixels.
 
 The resulting :class:`QueryPlan` is a pure description: executing it is the
 job of :class:`~repro.db.executor.QueryExecutor`, and ``db.explain(sql)``
@@ -490,7 +493,8 @@ class QueryPlanner:
         if predicate.category in cache:
             return cache[predicate.category]
         optimizer = self._optimizer_for(predicate.category)
-        evaluation = optimizer.select(self.profiler, constraints)
+        evaluation = optimizer.select(self.profiler, constraints,
+                                      metrics=self.metrics)
         selectivity = None
         if self.selectivity_hook is not None:
             selectivity = self.selectivity_hook(predicate.category,
@@ -529,8 +533,7 @@ class QueryPlanner:
             return PlanOr(tuple(children))
         raise TypeError(f"not a BooleanExpr node: {expr!r}")
 
-    def plan(self, query: "Query", table: str | None = None,
-             selections: "dict[str, ContentStep] | None" = None) -> QueryPlan:
+    def plan(self, query: "Query", table: str | None = None) -> QueryPlan:
         """Select cascades, estimate selectivities and order the predicates.
 
         A conjunctive query (the original dialect) lowers to the seed's flat
@@ -543,16 +546,9 @@ class QueryPlanner:
         plans once per shard, and each shard's plan names the shard it was
         priced for (its ``selectivity_hook`` observes that shard's labels),
         not the virtual fan-out table.
-
-        ``selections`` seeds the per-query cascade cache with already-made
-        :class:`ContentStep` choices, keyed by category.  A plan cache uses
-        this to *rebind* a cached plan to new literals: cascade selection
-        (the expensive Pareto analysis) is skipped for seeded categories,
-        while parsing-cheap structure (ordering, projection, limit) is
-        rebuilt from the fresh query.
         """
         started = time.perf_counter()
-        cache: dict[str, ContentStep] = dict(selections) if selections else {}
+        cache: dict[str, ContentStep] = {}
         wanted = {predicate.category
                   for predicate in query.content_predicates}
         conjuncts = conjunctive_predicates(query.where)

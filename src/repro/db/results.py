@@ -23,6 +23,7 @@ came from, and per-shard plans and execution statistics.  A fan-out
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from repro.db.aggregates import GroupedPartials, merge_partials
 from repro.db.planner import QueryPlan
 from repro.query.ast import OrderItem, QueryError, select_label
-from repro.query.relation import Relation, to_python as _to_python
+from repro.query.relation import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.evaluator import CascadeEvaluation
@@ -122,7 +123,7 @@ class ResultSet:
         relation = self._result.relation
         if not 0 <= index < len(self):
             raise IndexError(f"row {index} out of range for {len(self)} rows")
-        return {name: _to_python(relation.column(name)[index])
+        return {name: relation.column_values(name)[index]
                 for name in relation.column_names()}
 
     def __iter__(self) -> Iterator[dict]:
@@ -146,7 +147,11 @@ class ResultSet:
         if size == 0:
             return []
         stop = min(self._cursor + size, len(self))
-        rows = [self.row(index) for index in range(self._cursor, stop)]
+        relation = self._result.relation
+        names = relation.column_names()
+        columns = [relation.column_values(name)[self._cursor:stop]
+                   for name in names]
+        rows = [dict(zip(names, values)) for values in zip(*columns)]
         self._cursor = stop
         return rows
 
@@ -358,7 +363,7 @@ def _merge_relations(results: "Mapping[str, QueryResult]") -> Relation:
     for relation in relations.values():
         union.extend(name for name in relation.column_names()
                      if name not in union)
-    columns = {}
+    columns, sources = {}, {}
     for name in sorted(union):
         present = [relation[name] for relation in relations.values()
                    if name in relation]
@@ -367,10 +372,30 @@ def _merge_relations(results: "Mapping[str, QueryResult]") -> Relation:
             [np.asarray(relation[name], dtype=dtype) if name in relation
              else _fill_column(dtype, len(relation))
              for relation in relations.values()])
+        if all(array.dtype == dtype for array in present):
+            # No shard's values change type in the merge: reuse them.
+            sources[name] = partial(_merged_values, relations, name, dtype)
     columns[TABLE_COLUMN] = np.concatenate(
         [np.full(len(relation), table)
          for table, relation in relations.items()])
-    return Relation(columns)
+    sources[TABLE_COLUMN] = partial(_provenance_values, relations)
+    return Relation(columns, sources)
+
+
+def _merged_values(relations: Mapping[str, Relation], name: str,
+                   dtype: np.dtype) -> list:
+    """One merged column's Python values, shard by shard."""
+    values: list = []
+    for relation in relations.values():
+        values.extend(relation.column_values(name) if name in relation
+                      else _fill_column(dtype, len(relation)).tolist())
+    return values
+
+
+def _provenance_values(relations: Mapping[str, Relation]) -> list:
+    """The :data:`TABLE_COLUMN` values: each row's shard name."""
+    return [table for table, relation in relations.items()
+            for _ in range(len(relation))]
 
 
 def _head(result: "QueryResult", n: int) -> "QueryResult":

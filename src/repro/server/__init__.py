@@ -47,6 +47,8 @@ docstring convention of :mod:`repro.query.sql`::
                        whole, with no cursor to page
     fetch      keys: "cursor" (required), "n" (optional, default 64)
                result: {"rows": [row...], "remaining": int}
+                       (a reply with "remaining": 0, from execute or
+                       fetch, also frees the cursor)
     close_cursor keys: "cursor"           result: {"closed": bool}
     explain    keys: "sql", "tables", "constraints" (as execute)
                result: {"plan": plan} | {"plans": {table: plan}}

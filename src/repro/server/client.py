@@ -185,7 +185,9 @@ class RemoteCursor:
     Mirrors the :class:`~repro.db.results.ResultSet` cursor API —
     ``fetchone`` / ``fetchmany`` / ``fetchall``, iteration in ``batch_size``
     pages, ``len()`` — against a result set parked in the server session.
-    :meth:`close` frees the server-side slot (sessions cap open cursors).
+    The server frees its slot (sessions cap open cursors) in the reply that
+    reports ``remaining == 0``, and the cursor marks itself closed then;
+    :meth:`close` frees a cursor that was not read to the end.
     """
 
     def __init__(self, connection: Connection, result: dict,
@@ -196,17 +198,18 @@ class RemoteCursor:
         self.columns: list[str] = list(result["columns"])
         self.remaining: int = result["remaining"]
         self.batch_size = batch_size
-        self.closed = False
+        self.closed = self.remaining == 0
 
     def __len__(self) -> int:
         return self.rowcount
 
     def fetchmany(self, size: int = DEFAULT_FETCH_SIZE) -> list[dict]:
         """The next ``size`` rows (shorter at the end, ``[]`` when done)."""
-        if self.closed or (self.remaining == 0 and size > 0):
+        if self.closed:
             return []
         result = self._connection.fetch(self.cursor_id, n=size)
         self.remaining = result["remaining"]
+        self.closed = self.remaining == 0
         return result["rows"]
 
     def fetchone(self) -> dict | None:
@@ -215,7 +218,7 @@ class RemoteCursor:
 
     def fetchall(self) -> list[dict]:
         rows: list[dict] = []
-        while self.remaining and not self.closed:
+        while not self.closed:
             rows.extend(self.fetchmany(self.remaining))
         return rows
 
@@ -227,7 +230,8 @@ class RemoteCursor:
             yield from rows
 
     def close(self) -> None:
-        """Free the server-side cursor (idempotent, best effort)."""
+        """Free the server-side cursor (idempotent, best effort; a local
+        no-op once the cursor has been read to the end)."""
         if self.closed:
             return
         self.closed = True

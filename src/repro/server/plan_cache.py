@@ -2,8 +2,10 @@
 
 Dashboards re-issue the same handful of queries, often with nothing but a
 literal changed (a fresh timestamp bound, a different location).  Planning
-is not free — each ``contains_object`` predicate costs a cascade selection
-(Pareto analysis over the predicate's model pool) — so
+itself is cheap — each ``contains_object`` predicate is a lookup of its
+kept cascade frontier plus a short walk over it (see
+:meth:`~repro.core.optimizer.TahomaOptimizer.frontier`) — but an exact
+repeat can skip even the parse, so
 :class:`~repro.db.database.VisualDatabase` can route plan resolution through
 this cache (``connect(..., plan_cache=True)`` / ``enable_plan_cache()``;
 the network server enables it for the database it serves).
@@ -14,10 +16,8 @@ active scenario.  Three outcomes per lookup, all counted:
 
 * **hit** — same shape, same literals: the cached plan is returned with no
   parsing and no planning at all;
-* **rebind** — same shape, different literals: the query is re-parsed
-  (cheap, recursive descent) and re-planned with the cached plan's cascade
-  selections seeded (:meth:`~repro.db.planner.QueryPlanner.plan`'s
-  ``selections=``), skipping the expensive selection step;
+* **rebind** — same shape, different literals: the query is re-parsed and
+  re-planned, and the fresh plan replaces the cached one;
 * **miss** — unknown shape: planned from scratch, then cached.
 
 The cache is *invalidated* — cleared — on scenario switches, attach /

@@ -8,8 +8,10 @@ server's admission controller) and parks the resulting
 :meth:`~repro.db.results.ResultSet.fetchmany` — the query is never re-run,
 and each ``fetch`` reports how many rows remain so clients stop paging
 without a final empty round trip.  Cursors are bounded per session
-(``max_cursors``); ``close_cursor`` (or cursor exhaustion handled client
-side) frees them, and closing the session frees them all.
+(``max_cursors``); the reply that reports ``remaining == 0`` — an
+``execute`` of an empty result or the ``fetch`` that drains a cursor —
+also frees it, ``close_cursor`` frees one early, and closing the session
+frees them all.
 
 Sessions survive errors: a failed command — parse error, timeout,
 backpressure rejection — produces an error payload for that request and
@@ -167,7 +169,8 @@ class Session:
             return {"explain_analyze": result_set}
         cursor_id = self._next_cursor
         self._next_cursor += 1
-        self._cursors[cursor_id] = result_set
+        if result_set.remaining:
+            self._cursors[cursor_id] = result_set
         return {"cursor": cursor_id,
                 "rowcount": len(result_set),
                 "columns": result_set.columns,
@@ -180,6 +183,8 @@ class Session:
             raise ProtocolError(f'"n" must be a non-negative integer, '
                                 f"got {n!r}")
         rows = result_set.fetchmany(n)
+        if not result_set.remaining:
+            del self._cursors[request.get("cursor")]
         return {"rows": rows, "remaining": result_set.remaining}
 
     def _cmd_close_cursor(self, request: dict) -> dict:

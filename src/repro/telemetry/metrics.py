@@ -77,6 +77,10 @@ CATALOG: tuple[MetricSpec, ...] = (
                "Representation-store lookups that had to run the transform."),
     MetricSpec("repro_store_evictions_total", "counter",
                "Representations evicted by the byte-budget LRU."),
+    MetricSpec("repro_frontier_lookups_total", "counter",
+               "Cascade-frontier lookups at plan time by outcome (hit: the "
+               "cost profile's frontier was kept | miss: every cascade was "
+               "evaluated).", ("outcome",)),
     MetricSpec("repro_plan_cache_lookups_total", "counter",
                "Plan-cache lookups by outcome (hit | rebind | miss).",
                ("outcome",)),

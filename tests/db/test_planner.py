@@ -23,7 +23,7 @@ class _StubOptimizer:
         self._selectivity = selectivity
         self.cache = None
 
-    def select(self, profiler, constraints):
+    def select(self, profiler, constraints, metrics=None):
         return SimpleNamespace(
             cost=CostBreakdown(infer_s=self._cost_s),
             name=f"stub-cascade-{self._cost_s}",

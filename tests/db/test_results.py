@@ -169,6 +169,40 @@ class TestMergeMixedSchemas:
         np.testing.assert_array_equal(merged["location"], ["x", "y"])
 
 
+class TestMergedValues:
+    """Merged fan-out rows carry the same Python values as the merged
+    columns, sharing the shards' objects where no dtype changed."""
+
+    def test_values_match_merged_columns(self):
+        from repro.db.results import _merge_relations
+
+        north = _shard_result([0, 1], {
+            "image_id": np.array([10**6, 10**6 + 1]),
+            "weather": np.array(["sunny", "rain"]),
+            "lane": np.array([1, 2], dtype=np.int32),
+            "score": np.array([1, 2]),
+        })
+        south = _shard_result([4], {
+            "image_id": np.array([10**6 + 4]),
+            "weather": np.array(["overcast"]),
+            "lane": np.array([3]),
+            "speed": np.array([2.5]),
+            "score": np.array([0.5]),
+        })
+        shards = {"north": north, "south": south}
+        merged = _merge_relations(shards)
+        for name in merged.column_names():
+            values, expected = merged.column_values(name), merged[name].tolist()
+            np.testing.assert_equal(values, expected, err_msg=name)
+            assert list(map(type, values)) == list(map(type, expected))
+        shard_ids = {id(value) for shard in shards.values()
+                     for value in shard.relation.column_values("image_id")}
+        assert {id(value) for value in merged.column_values("image_id")} \
+            <= shard_ids
+        assert merged.column_values("__table__") == \
+            ["north", "north", "south"]
+
+
 class TestShapedRows:
     """ORDER BY / projection / post-sort LIMIT applied by build_result_set."""
 

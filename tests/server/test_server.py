@@ -193,6 +193,30 @@ class TestCursorPaging:
         assert len(a.fetchall()) == 3
         assert len(b.fetchall()) == 2
 
+    def test_drained_cursors_are_freed_without_close(self, conn):
+        # More unclosed queries than the session's cursor cap (32).
+        for _ in range(40):
+            cursor = conn.execute(self.SQL + " LIMIT 3")
+            assert len(cursor.fetchall()) == 3
+            assert cursor.closed
+        with pytest.raises(ProtocolError):
+            conn.fetch(cursor.cursor_id)
+
+    def test_empty_result_frees_its_cursor_at_execute(self, conn):
+        cursor = conn.execute(self.SQL + " WHERE image_id < 0")
+        assert cursor.closed and cursor.fetchall() == []
+        with pytest.raises(ProtocolError):
+            conn.fetch(cursor.cursor_id)
+
+    def test_close_after_drain_is_a_local_no_op(self, conn, monkeypatch):
+        cursor = conn.execute(self.SQL + " LIMIT 2")
+        cursor.fetchall()
+        calls = []
+        monkeypatch.setattr(conn, "_call",
+                            lambda *args, **kwargs: calls.append(args))
+        cursor.close()
+        assert calls == []
+
 
 class TestErrorsKeepSessionAlive:
     def test_parse_error_with_location(self, conn):
