@@ -126,7 +126,7 @@ REGISTRY: tuple[GuardSpec, ...] = (
         guarded=_fs("_id_offset", "_epoch", "_wal", "_materialized",
                     "_base_relation", "retention"),
         lock_held=_fs("_rebuild_base_relation", "_pad_materialized",
-                      "_drop_rows", "_materialize_tail"),
+                      "_drop_rows", "_materialize_registered"),
         lock_free=_fs("relation", "id_offset", "wal"),
         mutable=_fs("_materialized"),
         runtime=_fs("_id_offset", "_epoch", "_wal", "_materialized",

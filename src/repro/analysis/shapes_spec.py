@@ -303,8 +303,13 @@ SHAPES: tuple[ShapeSpec, ...] = (
               "(..., H, W, C) -> (..., R, R, C)"),
     ShapeSpec("transforms/resize.py", "resize_bilinear",
               "(..., H, W, C) -> (..., R, R, C)"),
+    ShapeSpec("transforms/spec.py", "apply_specs",
+              "(N, H, W, C) -> (N, R, R, C')", args=("images",),
+              tuple_index=0),
     ShapeSpec("transforms/resize.py", "resize_area",
               "(..., H, W, C) -> (..., R, R, C)"),
+    ShapeSpec("transforms/resize.py", "_block_average",
+              "(N, H, W, C) -> (N, H', W', C)", hot=True),
     ShapeSpec("transforms/color.py", "to_grayscale", "(..., 3) -> (..., 1)"),
     ShapeSpec("transforms/color.py", "extract_channel",
               "(..., 3) -> (..., 1)"),

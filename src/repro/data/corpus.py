@@ -344,13 +344,22 @@ class ImageCorpus:
         batch becomes one immutable :class:`CorpusSegment`, so the cost is
         O(batch), not O(corpus).
         """
-        segment = self._build_appended(images, metadata, content)
+        return self.append_segment(self.build_segment(images, metadata,
+                                                      content))
+
+    def append_segment(self, segment: CorpusSegment) -> np.ndarray:
+        """Publish a segment from :meth:`build_segment`; returns its row ids."""
         n_old = len(self)
         self._segments.append(segment)
         return np.arange(n_old, n_old + len(segment))
 
-    def _build_appended(self, images, metadata, content) -> CorpusSegment:
-        """Validate an append batch against the corpus schema."""
+    def build_segment(self, images, metadata, content) -> CorpusSegment:
+        """Validate an append batch against the corpus schema, without
+        appending it.
+
+        Together with :meth:`append_segment` this splits :meth:`append` so a
+        caller can journal the segment between building and publishing it.
+        """
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 4:
             raise ValueError(f"images must be NHWC, got shape {images.shape}")

@@ -42,6 +42,7 @@ from repro.query.relation import Relation
 from repro.storage.store import RepresentationStore
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import NO_SPAN
+from repro.transforms.spec import apply_specs
 
 from repro.db.planner import (ContentStep, MetadataStep, PlanAnd, PlanNot,
                               PlanOr, QueryPlan)
@@ -144,6 +145,9 @@ class QueryExecutor:
             "repro_wal_replay_seconds")
         self._rows_classified = self.metrics.counter(
             "repro_query_rows_classified_total")
+        self._store_hits = self.store.metrics.counter("repro_store_hits_total")
+        self._store_misses = self.store.metrics.counter(
+            "repro_store_misses_total")
         # One lock per table: ingest and retention on the same shard
         # serialize; queries only take it for snapshot capture and merge
         # (fan-out stays concurrent — each shard has its own lock).  Created
@@ -242,25 +246,27 @@ class QueryExecutor:
         the returned ids are the ones the new rows were assigned, whether or
         not they immediately fall out of the window.
 
+        The segment is built and validated, then journaled, and only then
+        published: a validation or journaling failure raises with the shard
+        exactly as it was.
+
         Returns the new rows' (stable) image ids.
         """
         images = np.asarray(images)
         if images.ndim >= 1 and images.shape[0] == 0:
             return np.array([], dtype=np.int64)
         with self._lock:
-            new_ids = self.corpus.append(images, metadata=metadata,
-                                         content=content)
-            # Journal after the in-memory apply succeeds (validation raised
-            # before any state changed), still under the lock so log order
+            segment = self.corpus.build_segment(images, metadata, content)
+            # Journal before publishing, still under the lock so log order
             # is apply order.
             if self._wal is not None:
                 with span.child("wal-append", table=self.table,
-                                rows=int(new_ids.size)):
-                    self._wal.log_segment(self.corpus.segments[-1])
+                                rows=len(segment)):
+                    self._wal.log_segment(segment)
+            new_ids = self.corpus.append_segment(segment)
             self._pad_materialized(new_ids.size)
             if materialize:
-                for spec in self.store.registered_specs():
-                    self._materialize_tail(spec)
+                self._materialize_registered()
             new_ids = new_ids + self._id_offset
             # A retention drop rebuilds the base relation itself; only
             # rebuild here when nothing was dropped, so the hot streaming
@@ -867,8 +873,12 @@ class QueryExecutor:
         to_classify = candidate_mask & ~evaluated_mask
         n_classified = int(to_classify.sum())
         if n_classified > 0:
+            # A whole-snapshot candidate set is classified without copying
+            # the raw frames.
+            raw = (snap.images if n_classified == snap.n
+                   else snap.images[to_classify])
             new_labels = step.evaluation.cascade.classify(
-                snap.images[to_classify],
+                raw,
                 store=self._subset_store(snap, step, to_classify),
                 metrics=self.metrics)
             labels = labels.copy()
@@ -879,56 +889,67 @@ class QueryExecutor:
 
         return labels, n_classified
 
-    def _materialize_tail(self, spec) -> None:
-        """Bring one registered representation up to corpus length at ingest.
+    def _materialize_registered(self) -> None:
+        """Bring every registered representation up to corpus length at ingest.
 
         The hot path transforms only the new frames and appends them as a
-        chunk (O(batch)); the full array is rebuilt only when the entry was
-        evicted — and on that path the spec is (re-)registered.
+        chunk (O(batch)); a full array is rebuilt only when the entry was
+        evicted.
         """
         n = len(self.corpus)
-        stored = self.store.rows(spec)
-        if 0 < stored <= n:
-            if stored == n:
-                return
-            tail = spec.apply_batch(self.corpus.images_from(stored))
-            try:
-                self.store.append_rows(spec, tail)
-                return
-            except KeyError:
-                pass  # evicted between the check and the append — rebuild
-        self.store.add(spec, spec.apply_batch(self.corpus.images))
-        self.store.register(spec)
+        starts = {}
+        for spec in self.store.registered_specs():
+            stored = self.store.rows(spec)
+            if stored != n:
+                starts[spec] = stored if 0 < stored < n else 0
+        for spec, array in _transform_from(starts,
+                                           self.corpus.images_from).items():
+            if starts[spec]:
+                try:
+                    self.store.append_rows(spec, array)
+                    continue
+                except KeyError:  # evicted since rows() — rebuild
+                    array = spec.apply_batch(self.corpus.images)
+            self.store.add(spec, array)
 
-    def _full_representation(self, snap: _Snapshot, spec, *,
-                             materialize: bool):
-        """The snapshot-length array for ``spec``, or None when staying lazy.
+    def _full_representations(self, snap: _Snapshot, specs, *,
+                              materialize: bool) -> dict:
+        """``{spec: snapshot-length array}`` for the specs kept snapshot-wide.
 
         Captured arrays shorter than the snapshot (rows ingested since they
         were built) are topped up by transforming just the missing tail.
         Missing arrays are built snapshot-wide only when ``materialize`` —
         and then registered at merge time, so ONGOING ingest keeps extending
-        them for future frames.  All updates stay in the snapshot until the
-        merge writes them back shift-adjusted; the shared store is never
-        touched mid-query.
+        them for future frames; otherwise they are left out.  All updates
+        stay in the snapshot until the merge writes them back
+        shift-adjusted; the shared store is never touched mid-query.
+
+        Each spec is one lookup on the store's hit/miss counters: a hit when
+        a full-length array was captured, a miss when the query transforms
+        frames for it (topped up, built, or left to the cascade).
         """
-        entry = snap.reps.get(spec.name)
-        if entry is not None:
-            _, array = entry
-            n_stored = int(array.shape[0])
-            if n_stored < snap.n:
-                tail = spec.apply_batch(snap.images[n_stored:])
-                array = np.concatenate([array, tail])
-                snap.reps[spec.name] = (spec, array)
-                snap.dirty_reps.add(spec.name)
-            return array
-        if materialize:
-            array = spec.apply_batch(snap.images)
+        arrays: dict = {}
+        starts: dict = {}
+        for spec in dict.fromkeys(specs):
+            entry = snap.reps.get(spec.name)
+            stored = 0 if entry is None else int(entry[1].shape[0])
+            (self._store_hits if stored == snap.n
+             else self._store_misses).inc()
+            if entry is not None:
+                arrays[spec] = entry[1]
+                if stored < snap.n:
+                    starts[spec] = stored
+            elif materialize:
+                starts[spec] = 0
+                snap.registered.append(spec)
+        for spec, rows in _transform_from(
+                starts, lambda start: snap.images[start:]).items():
+            array = (np.concatenate([arrays[spec], rows])
+                     if spec in arrays else rows)
+            arrays[spec] = array
             snap.reps[spec.name] = (spec, array)
             snap.dirty_reps.add(spec.name)
-            snap.registered.append(spec)
-            return array
-        return None
+        return arrays
 
     def _subset_store(self, snap: _Snapshot, step: ContentStep,
                       to_classify: np.ndarray) -> RepresentationStore:
@@ -937,23 +958,43 @@ class QueryExecutor:
         The persistent store holds *full-corpus* representations (so they can
         be sliced for any future candidate set); the cascade receives a
         per-call view store holding only the rows it will classify, since
-        ``Cascade.classify`` indexes representations by batch position.
+        ``Cascade.classify`` indexes representations by batch position.  When
+        the candidates are the whole snapshot the full arrays go in as they
+        are, uncopied.
 
-        Already-captured representations are always sliced (topped up first
+        Already-captured representations are always used (topped up first
         if ingest left them short).  Missing ones are materialized
         snapshot-wide only when the candidate set is large enough
-        (``full_materialize_fraction``); otherwise they are left out and the
-        cascade transforms just the candidate rows, lazily, for the levels it
-        actually reaches.
+        (``full_materialize_fraction``); every missing representation of the
+        cascade is then built in one :func:`~repro.transforms.spec
+        .apply_specs` call, so each raw frame is resized once per
+        resolution.  Otherwise they are left out and the cascade transforms
+        just the candidate rows, lazily, for the levels it actually reaches.
         """
         n_candidates = int(to_classify.sum())
         materialize = (n_candidates
                        >= self.full_materialize_fraction * snap.n)
+        whole = n_candidates == snap.n
         scratch = RepresentationStore(tier=self.store.tier)
-        for model in step.evaluation.cascade.models:
-            spec = model.transform
-            full = self._full_representation(snap, spec,
-                                             materialize=materialize)
-            if full is not None:
-                scratch.add(spec, full[to_classify])
+        specs = [model.transform for model in step.evaluation.cascade.models]
+        for spec, full in self._full_representations(
+                snap, specs, materialize=materialize).items():
+            scratch.add(spec, full if whole else full[to_classify])
         return scratch
+
+
+def _transform_from(starts: dict, images_from) -> dict:
+    """``{spec: transformed rows start:}`` for ``starts = {spec: start}``.
+
+    Specs with the same start row share one
+    :func:`~repro.transforms.spec.apply_specs` call, so each raw frame is
+    resized once per resolution; ``images_from(start)`` returns the raw
+    rows ``start:``.
+    """
+    by_start: dict[int, list] = {}
+    for spec, start in starts.items():
+        by_start.setdefault(start, []).append(spec)
+    rows: dict = {}
+    for start, specs in by_start.items():
+        rows.update(zip(specs, apply_specs(specs, images_from(start))))
+    return rows

@@ -42,7 +42,7 @@ from repro.locking import make_rlock
 from repro.storage.encoding import representation_bytes
 from repro.storage.tiers import SSD, StorageTier
 from repro.telemetry.metrics import MetricsRegistry
-from repro.transforms.spec import TransformSpec
+from repro.transforms.spec import TransformSpec, apply_specs
 
 __all__ = ["RepresentationStore"]
 
@@ -142,13 +142,14 @@ class RepresentationStore:
 
         This is the ingest-time entry point, so the specs are also
         :meth:`register`-ed: later :meth:`append_rows` calls (new frames
-        arriving) extend these representations.
+        arriving) extend these representations.  Specs sharing a resolution
+        share one resize (:func:`~repro.transforms.spec.apply_specs`).
         """
         if images.ndim != 4:
             raise ValueError(f"expected NHWC batch, got shape {images.shape}")
-        for spec in specs:
+        for spec, array in zip(specs, apply_specs(specs, images)):
             self.register(spec)
-            self.add(spec, spec.apply_batch(images))
+            self.add(spec, array)
 
     def add(self, spec: TransformSpec, array: np.ndarray) -> None:
         """Store an already-transformed array under ``spec`` (marks it hot)."""

@@ -10,7 +10,9 @@ The public surface is:
 * low-level image ops (:mod:`repro.transforms.resize`,
   :mod:`repro.transforms.color`, :mod:`repro.transforms.ops`),
 * :class:`~repro.transforms.spec.TransformSpec`, the declarative description
-  of one representation (resolution + color mode), and
+  of one representation (resolution + color mode),
+* :func:`~repro.transforms.spec.apply_specs`, which builds several
+  representations of one batch with a single resize per resolution, and
 * :func:`~repro.transforms.spec.standard_transform_grid`, the paper's default
   grid of 4 resolutions x 5 color variants.
 """
@@ -30,6 +32,7 @@ from repro.transforms.spec import (
     PAPER_COLOR_MODES,
     PAPER_RESOLUTIONS,
     TransformSpec,
+    apply_specs,
     standard_transform_grid,
     transform_subsets,
 )
@@ -49,6 +52,7 @@ __all__ = [
     "horizontal_flip",
     "Compose",
     "TransformSpec",
+    "apply_specs",
     "standard_transform_grid",
     "transform_subsets",
     "PAPER_RESOLUTIONS",

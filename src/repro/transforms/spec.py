@@ -8,6 +8,7 @@ The cross product of a resolution list and the color variants — built by
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.transforms.resize import resize
 
 __all__ = [
     "TransformSpec",
+    "apply_specs",
     "standard_transform_grid",
     "transform_subsets",
     "PAPER_RESOLUTIONS",
@@ -78,9 +80,19 @@ class TransformSpec:
     # -- application ---------------------------------------------------------
     def apply(self, image: np.ndarray) -> np.ndarray:
         # shape: (..., H, W, C) -> (..., R, R, C')
-        """Transform one HWC image (or an NHWC batch) into this representation."""
+        """Transform one HWC image (or an NHWC batch) into this representation.
+
+        The result never aliases ``image``.
+        """
         resized = resize(image, self.resolution, mode=self.resize_mode)
-        return to_color_mode(resized, self.color_mode)
+        if self.color_mode != "rgb":
+            return to_color_mode(resized, self.color_mode)
+        # resize() always returns a new array, so rgb keeps it rather than
+        # copying it again through to_color_mode.
+        if resized.shape[-1] != 3:
+            raise ValueError(f"expected a 3-channel image, got "
+                             f"{resized.shape[-1]} channels")
+        return resized
 
     def apply_batch(self, images: np.ndarray) -> np.ndarray:
         # shape: (N, H, W, C) -> (N, R, R, C')
@@ -91,6 +103,30 @@ class TransformSpec:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
+
+
+def apply_specs(specs: Sequence[TransformSpec],
+                images: np.ndarray) -> tuple[np.ndarray, ...]:
+    # shape: (N, H, W, C) -> (N, R, R, C')
+    """Transform an NHWC batch into every spec, resizing once per resolution.
+
+    Each distinct ``(resolution, resize_mode)`` is resized once, as its rgb
+    spec's :meth:`TransformSpec.apply_batch`.  An rgb spec gets that base
+    array itself; every other spec is derived from it with
+    :func:`to_color_mode`, just as :meth:`TransformSpec.apply` derives it
+    from its own resize, so the arrays are bitwise those of
+    ``spec.apply_batch(images)``.  Returns one array per spec, in order.
+    """
+    bases: dict[tuple[int, str], np.ndarray] = {}
+    derived = []
+    for spec in specs:
+        key = (spec.resolution, spec.resize_mode)
+        if key not in bases:
+            bases[key] = TransformSpec(spec.resolution, "rgb",
+                                       spec.resize_mode).apply_batch(images)
+        derived.append(bases[key] if spec.color_mode == "rgb"
+                       else to_color_mode(bases[key], spec.color_mode))
+    return tuple(derived)
 
 
 def standard_transform_grid(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.cascade import Cascade
 from repro.core.selector import UserConstraints
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
@@ -10,6 +11,7 @@ from repro.db.executor import QueryExecutor
 from repro.db.planner import QueryPlanner
 from repro.query.predicates import ContainsObject, MetadataPredicate
 from repro.query.processor import Query
+from repro.transforms.spec import TransformSpec
 from tests.conftest import TINY_SIZE
 
 
@@ -104,6 +106,69 @@ class TestSharedRepresentationStore:
         executor.execute(narrow)
         # The warm store was reused, not extended.
         assert len(executor.store) == n_stored
+
+
+class TestColdScan:
+    """A cold full scan transforms each raw frame once per resolution and
+    hands the cascade the snapshot's own arrays (no boolean-index copy)."""
+
+    @pytest.fixture()
+    def plan(self, planner):
+        return planner.plan(Query(content_predicates=(ContainsObject("komondor"),),
+                                  constraints=CONSTRAINED))
+
+    def test_resizes_once_per_resolution_without_copying_frames(
+            self, corpus, plan, monkeypatch):
+        executor = QueryExecutor(corpus)
+        transforms, received = [], []
+        apply_batch, classify = TransformSpec.apply_batch, Cascade.classify
+
+        def counting_apply_batch(self, images):
+            transforms.append((self, images.shape[0]))
+            return apply_batch(self, images)
+
+        def recording_classify(self, raw_images, *args, **kwargs):
+            received.append(raw_images)
+            return classify(self, raw_images, *args, **kwargs)
+        monkeypatch.setattr(TransformSpec, "apply_batch", counting_apply_batch)
+        monkeypatch.setattr(Cascade, "classify", recording_classify)
+        executor.execute(plan)
+
+        # With the tiny pool the selected cascade is 8x8-gray -> 8x8-rgb:
+        # two representations, one resize.
+        models = plan.content_steps[0].evaluation.cascade.models
+        resolutions = sorted({model.transform.resolution for model in models})
+        assert sorted(spec.resolution for spec, _ in transforms) == resolutions
+        assert all(rows == len(corpus) for _, rows in transforms)
+        assert len(received) == 1
+        assert received[0] is executor.corpus.images
+
+    def test_store_counters_tell_a_cold_scan_from_a_warm_one(self, plan):
+        def komondor_corpus(n_images, seed):
+            return generate_corpus((get_category("komondor"),),
+                                   n_images=n_images, image_size=TINY_SIZE,
+                                   rng=np.random.default_rng(seed),
+                                   positive_rate=0.9)
+        executor = QueryExecutor(komondor_corpus(30, 77))  # ingest mutates it
+        registry = executor.store.metrics
+        specs = {model.transform
+                 for model in plan.content_steps[0].evaluation.cascade.models}
+
+        def counts():
+            return (registry.value("repro_store_hits_total"),
+                    registry.value("repro_store_misses_total"))
+
+        executor.execute(plan)  # cold: every representation is built
+        assert counts() == (0, len(specs))
+        assert len(executor.store) == len(specs)
+        executor.invalidate()  # labels dropped, representations kept
+        executor.execute(plan)  # warm: every representation is served
+        assert counts() == (len(specs), len(specs))
+        batch = komondor_corpus(6, 78)
+        executor.ingest(batch.images, metadata=batch.metadata,
+                        materialize=False)
+        executor.execute(plan)  # short: every representation is topped up
+        assert counts() == (len(specs), 2 * len(specs))
 
 
 class TestMaterializedColumns:

@@ -1,18 +1,21 @@
 """Tests for streaming ingest: corpus growth, incremental executor state,
 ingest-time materialization, byte-budgeted eviction and persistence."""
 
+import errno
+
 import numpy as np
 import pytest
 
 from repro.core.selector import UserConstraints
 from repro.data.categories import get_category
 from repro.data.corpus import generate_corpus
-from repro.db import connect
+from repro.db import TableWal, VisualDatabase, connect
 from repro.db.executor import QueryExecutor
 from repro.db.planner import QueryPlanner
 from repro.query.predicates import ContainsObject, MetadataPredicate
 from repro.query.processor import Query
 from repro.storage.store import RepresentationStore
+from repro.transforms.spec import TransformSpec
 from tests.conftest import TINY_SIZE
 
 CONSTRAINED = UserConstraints(max_accuracy_loss=0.1)
@@ -114,6 +117,33 @@ class TestExecutorIngest:
         for spec in registered:
             assert executor.store.rows(spec) == 34
 
+    def test_materialize_on_ingest_resizes_once_per_resolution(
+            self, corpus, batch, monkeypatch):
+        specs = [TransformSpec(8, "rgb"), TransformSpec(8, "gray"),
+                 TransformSpec(16, "red")]
+        executor = QueryExecutor(corpus)
+        executor.store.materialize(corpus.images, specs)
+        calls = []
+        apply_batch = TransformSpec.apply_batch
+
+        def counting(self, images):
+            calls.append((self.resolution, images.shape[0]))
+            return apply_batch(self, images)
+        monkeypatch.setattr(TransformSpec, "apply_batch", counting)
+
+        executor.ingest(batch.images, metadata=batch.metadata,
+                        materialize=True)  # appends the new rows' tails
+        assert sorted(calls) == [(8, 10), (16, 10)]
+        calls.clear()
+        executor.store.clear()  # every entry evicted: rebuilt in full
+        executor.ingest(batch.images, metadata=batch.metadata,
+                        materialize=True)
+        assert sorted(calls) == [(8, 44), (16, 44)]
+        for spec in specs:
+            np.testing.assert_array_equal(
+                executor.store.get(spec),
+                apply_batch(spec, executor.corpus.images))
+
     def test_observed_positive_rate_tracks_materialized_labels(self, corpus,
                                                                planner):
         executor = QueryExecutor(corpus)
@@ -212,6 +242,31 @@ class TestDatabaseIngest:
         assert new_ids.size == 10
         result = db.execute(SQL)
         assert result.images_classified["komondor"] == 10
+
+    def test_journal_failure_leaves_the_table_unchanged(self, db, batch,
+                                                        tmp_path,
+                                                        monkeypatch):
+        db.enable_wal(tmp_path / "vdb")
+        answer = db.execute(SQL).image_ids
+        rows = len(db.corpus)
+
+        def full_disk(self, segment):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        with monkeypatch.context() as patch:
+            patch.setattr(TableWal, "log_segment", full_disk)
+            with pytest.raises(OSError):
+                db.ingest(batch.images, metadata=batch.metadata)
+        # Nothing unlogged was published, and the labels still line up.
+        assert len(db.corpus) == rows
+        np.testing.assert_array_equal(db.execute(SQL).image_ids, answer)
+
+        new_ids = db.ingest(batch.images, metadata=batch.metadata)
+        np.testing.assert_array_equal(new_ids, np.arange(rows, rows + 10))
+        live = db.execute(SQL).image_ids
+        assert len(db.corpus) == rows + 10
+        reloaded = VisualDatabase.load(tmp_path / "vdb")
+        assert len(reloaded.corpus) == rows + 10
+        np.testing.assert_array_equal(reloaded.execute(SQL).image_ids, live)
 
     def test_ongoing_scenario_materializes_at_ingest(self, db, batch):
         db.use_scenario("ongoing")
